@@ -166,7 +166,9 @@ mod tests {
                 // Wait until rank 0 has published its fence key, then get
                 // declared dead (simulating a mid-fence crash being
                 // detected elsewhere).
-                RetryPolicy::poll().wait_until(|| ctx.kv.get("fence/3/seq/0").is_some());
+                ctx.kv
+                    .wait_for("fence/3/seq/0", RetryPolicy::poll().deadline)
+                    .unwrap();
                 declare_failed(&ctx.kv, &[1]);
                 true
             }

@@ -661,8 +661,9 @@ mod tests {
                                 let gen = swift_net::failure_epoch(&ctx.kv);
                                 ctx.kv.set(&format!("fsdp/ack/{gen}/{}", ctx.rank()), "1");
                                 assert!(
-                                    RetryPolicy::poll()
-                                        .wait_until(|| ctx.kv.get("fsdp/replacement").is_some()),
+                                    ctx.kv
+                                        .wait_for("fsdp/replacement", RetryPolicy::poll().deadline)
+                                        .is_some(),
                                     "no replacement"
                                 );
                                 fsdp_recover_supervised(
@@ -681,17 +682,17 @@ mod tests {
             if crash {
                 // The driver learns of the failure from the *declared*
                 // state in the KV store, not the injector's ground truth.
+                let deadline = RetryPolicy::poll().deadline;
                 assert!(
-                    RetryPolicy::poll().wait_until(|| !swift_net::failure_state(&kv).1.is_empty()),
+                    kv.wait_until(deadline, || !swift_net::failure_state(&kv).1.is_empty()),
                     "failure never declared"
                 );
-                let p = RetryPolicy::poll();
-                for r in [0usize, 2] {
-                    assert!(
-                        p.wait_until(|| kv.get(&format!("fsdp/ack/1/{r}")).is_some()),
-                        "survivor ack"
-                    );
-                }
+                assert!(
+                    kv.wait_until(deadline, || [0usize, 2]
+                        .iter()
+                        .all(|r| kv.get(&format!("fsdp/ack/1/{r}")).is_some())),
+                    "survivor ack"
+                );
                 fc.replace_machine(1);
                 let mut rctx = cluster.respawn(1);
                 let kv2 = kv.clone();

@@ -429,17 +429,29 @@ fn spawn_worker(
         .map_err(ProcessError::Io)
 }
 
-fn wait_key(
+/// Waits on the supervisor's store until `cond` holds, or fails with a
+/// rendezvous error described by `what`. The store is local (workers
+/// write it through the [`KvServer`]), so the wait wakes on the write.
+fn rendezvous(
     store: &KvStore,
-    policy: &RetryPolicy,
-    key: &str,
-    what: impl Fn() -> String,
+    timeout: Duration,
+    cond: impl FnMut() -> bool,
+    what: impl FnOnce() -> String,
 ) -> Result<(), ProcessError> {
-    if policy.wait_until(|| store.get(key).is_some()) {
+    if store.wait_until(timeout, cond) {
         Ok(())
     } else {
         Err(ProcessError::Rendezvous { what: what() })
     }
+}
+
+fn wait_key(
+    store: &KvStore,
+    timeout: Duration,
+    key: &str,
+    what: impl FnOnce() -> String,
+) -> Result<(), ProcessError> {
+    rendezvous(store, timeout, || store.get(key).is_some(), what)
 }
 
 /// Truncates the lexicographically newest record in a machine-local WAL
@@ -492,9 +504,8 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
             0,
         )?));
     }
-    let up = RetryPolicy::poll().with_deadline(cfg.spawn_deadline);
     for rank in 0..cfg.world {
-        wait_key(&store, &up, &up_key(rank, 0), || {
+        wait_key(&store, cfg.spawn_deadline, &up_key(rank, 0), || {
             format!("rank {rank} never reported up")
         })?;
     }
@@ -507,19 +518,18 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
     for (victim, at_iter) in cfg.faults.process_kills() {
         // Progress-based trigger: the process-backend analogue of the
         // injector firing inside note_iteration.
-        let trig = RetryPolicy::poll().with_deadline(cfg.exit_deadline);
         let progress_key = format!("proc/progress/{victim}");
-        let reached = trig.wait_until(|| {
-            store
-                .get(&progress_key)
-                .and_then(|s| s.parse::<u64>().ok())
-                .is_some_and(|p| p >= at_iter)
-        });
-        if !reached {
-            return Err(ProcessError::Rendezvous {
-                what: format!("rank {victim} never reached iteration {at_iter}"),
-            });
-        }
+        rendezvous(
+            &store,
+            cfg.exit_deadline,
+            || {
+                store
+                    .get(&progress_key)
+                    .and_then(|s| s.parse::<u64>().ok())
+                    .is_some_and(|p| p >= at_iter)
+            },
+            || format!("rank {victim} never reached iteration {at_iter}"),
+        )?;
         let mut child = children[victim]
             .take()
             .ok_or_else(|| ProcessError::Rendezvous {
@@ -540,25 +550,24 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
         // Observable detection only: the supervisor waits for the lease
         // monitor's declaration like any other observer would.
         let bound = cfg.heartbeat.timeout * 10 + Duration::from_secs(5);
-        let det = RetryPolicy::poll().with_deadline(bound);
-        if !det.wait_until(|| failure_state(&store).1.contains(&victim)) {
-            return Err(ProcessError::Rendezvous {
-                what: format!("rank {victim}'s death was never declared"),
-            });
-        }
+        rendezvous(
+            &store,
+            bound,
+            || failure_state(&store).1.contains(&victim),
+            || format!("rank {victim}'s death was never declared"),
+        )?;
         detection.push(killed_at.elapsed());
         let epoch = failure_epoch(&store);
         // Survivor rendezvous before the respawn (mirrors the in-process
         // drivers): reviving the rank re-opens its socket address, after
         // which a survivor that had not yet detected the failure would
         // block on the revived-but-recovering process.
-        let rdv = RetryPolicy::poll().with_deadline(cfg.exit_deadline);
         for r in (0..cfg.world).filter(|&r| r != victim) {
             let key = match cfg.kind {
                 ProcessKind::Dp => format!("dp/ack/{epoch}/{r}"),
                 ProcessKind::Pipeline => format!("consensus/{epoch}/{r}"),
             };
-            wait_key(&store, &rdv, &key, || {
+            wait_key(&store, cfg.exit_deadline, &key, || {
                 format!("survivor {r} never acknowledged epoch {epoch}")
             })?;
         }
@@ -575,8 +584,7 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
             rank: victim,
             epoch,
         });
-        let up = RetryPolicy::poll().with_deadline(cfg.spawn_deadline);
-        wait_key(&store, &up, &up_key(victim, attempt), || {
+        wait_key(&store, cfg.spawn_deadline, &up_key(victim, attempt), || {
             format!("replacement for rank {victim} never reported up")
         })?;
         respawned.push(victim);

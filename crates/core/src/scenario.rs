@@ -279,7 +279,9 @@ pub fn dp_worker_loop(
                 let epoch = failure_epoch(&ctx.kv);
                 ctx.kv.set(&format!("dp/ack/{epoch}/{}", ctx.rank()), "1");
                 assert!(
-                    RetryPolicy::poll().wait_until(|| ctx.kv.get("dp/replacement-up").is_some()),
+                    ctx.kv
+                        .wait_for("dp/replacement-up", RetryPolicy::poll().deadline)
+                        .is_some(),
                     "replacement never came up"
                 );
                 replication_recover_supervised(
@@ -381,18 +383,17 @@ fn run_dp_scenario_impl(cfg: DpScenario, trace: bool) -> ScenarioResult {
         // survivor to ack it before reviving the machine — revival
         // restores links, after which undetected survivors would block.
         let kv = cluster.kv();
-        let policy = RetryPolicy::poll();
+        let deadline = RetryPolicy::poll().deadline;
         assert!(
-            policy.wait_until(|| !failure_state(&kv).1.is_empty()),
+            kv.wait_until(deadline, || !failure_state(&kv).1.is_empty()),
             "failure never declared"
         );
         let epoch = failure_epoch(&kv);
-        for r in (0..world).filter(|&r| r != mach) {
-            assert!(
-                policy.wait_until(|| kv.get(&format!("dp/ack/{epoch}/{r}")).is_some()),
-                "survivor never acked the failure"
-            );
-        }
+        let acked = |r: Rank| kv.get(&format!("dp/ack/{epoch}/{r}")).is_some();
+        assert!(
+            kv.wait_until(deadline, || (0..world).filter(|&r| r != mach).all(acked)),
+            "survivor never acked the failure"
+        );
         fc.replace_machine(mach);
         let mut rctx = cluster.respawn(mach);
         let wl = worker_loop.clone();
@@ -742,15 +743,14 @@ pub fn pipeline_replacement_recover(
         };
         // Consensus published by the survivors.
         let generation = failure_epoch(&rctx.kv);
-        let policy = RetryPolicy::poll();
         let mut consensus = u64::MAX;
         for &r in &survivors {
             let key = format!("consensus/{generation}/{r}");
-            assert!(
-                policy.wait_until(|| rctx.kv.get(&key).is_some()),
-                "no consensus"
-            );
-            consensus = consensus.min(rctx.kv.get(&key).unwrap().parse().unwrap());
+            let v = rctx
+                .kv
+                .wait_for(&key, RetryPolicy::poll().deadline)
+                .expect("no consensus");
+            consensus = consensus.min(v.parse().unwrap());
         }
         (from, consensus)
     };
@@ -934,18 +934,19 @@ fn run_pipeline_scenario_impl(cfg: PipelineScenario, trace: bool) -> ScenarioRes
         // every survivor to publish its consensus iteration (proof it
         // detected the failure) before reviving the machine.
         let kv = cluster.kv();
-        let policy = RetryPolicy::poll();
+        let deadline = RetryPolicy::poll().deadline;
         assert!(
-            policy.wait_until(|| !failure_state(&kv).1.is_empty()),
+            kv.wait_until(deadline, || !failure_state(&kv).1.is_empty()),
             "failure never declared"
         );
         let generation = failure_epoch(&kv);
-        for r in (0..stages).filter(|&r| r != mach) {
-            assert!(
-                policy.wait_until(|| kv.get(&format!("consensus/{generation}/{r}")).is_some()),
-                "survivor never reached consensus"
-            );
-        }
+        let reported = |r: Rank| kv.get(&format!("consensus/{generation}/{r}")).is_some();
+        assert!(
+            kv.wait_until(deadline, || (0..stages)
+                .filter(|&r| r != mach)
+                .all(reported)),
+            "survivor never reached consensus"
+        );
         fc.replace_machine(mach);
         let mut rctx = cluster.respawn(mach);
         let wl = worker_loop.clone();

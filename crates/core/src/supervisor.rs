@@ -14,8 +14,9 @@
 //!   abandoned at any point and re-run;
 //! - when an attempt fails with [`CommError::PeerFailed`] — a cascading
 //!   failure, observed either as a comm error or as a mid-fence death
-//!   declaration — the supervisor backs off exponentially
-//!   ([`RetryPolicy`]) and restarts from the top under the *new* epoch;
+//!   declaration — the supervisor waits (at most one [`RetryPolicy`]
+//!   backoff step) until that death is declared and restarts from the
+//!   top under the *new* epoch;
 //! - restarts are bounded ([`RetryPolicy::max_restarts`]); a
 //!   [`CommError::SelfKilled`] (including false-suspicion self-fencing)
 //!   always unwinds immediately — a dead worker must not retry.
@@ -25,8 +26,6 @@
 //! declared deaths, so after the last failure is declared every
 //! participant runs its final attempt under the same epoch and the same
 //! (kv-derived) survivor set.
-
-use std::time::Instant;
 
 use swift_net::{failure_epoch, failure_state, CommError, Rank, RetryPolicy, WorkerCtx};
 use swift_obs::{Counter, Epoch, Event, Phase};
@@ -194,9 +193,13 @@ pub struct RecoveryReport {
 /// Waits for a KV rendezvous `key` published by one of `participants`,
 /// aborting with [`CommError::PeerFailed`] if any participant that was
 /// not in `entry_dead` is declared dead mid-wait — the waited-for rank
-/// may be the victim, in which case the key will never come. Panics only
-/// when the policy deadline expires with *no* new failure declared,
-/// which indicates a protocol bug rather than a crash.
+/// may be the victim, in which case the key will never come. The wait
+/// parks on the store ([`KvStore::wait_until`]) and wakes on the write
+/// that publishes the key or the declaration. Panics only when the
+/// policy deadline expires with *no* new failure declared, which
+/// indicates a protocol bug rather than a crash.
+///
+/// [`KvStore::wait_until`]: swift_net::KvStore::wait_until
 pub fn wait_cascade_aware(
     ctx: &WorkerCtx,
     key: &str,
@@ -204,31 +207,38 @@ pub fn wait_cascade_aware(
     entry_dead: &[Rank],
     policy: &RetryPolicy,
 ) -> Result<String, CommError> {
-    let start = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        // Fail-stop applies to pollers too: a worker whose machine was
-        // killed while it sat in this loop must unwind (in a real
-        // deployment the process would simply be gone), not keep
-        // publishing rendezvous keys as a zombie.
-        ctx.comm.check_self()?;
-        if let Some(v) = ctx.kv.get(key) {
-            return Ok(v);
-        }
-        let (_, dead) = failure_state(&ctx.kv);
-        if let Some(&r) = dead
-            .iter()
-            .find(|r| participants.contains(r) && !entry_dead.contains(r))
-        {
-            return Err(CommError::PeerFailed { rank: r });
-        }
-        assert!(
-            start.elapsed() < policy.deadline,
-            "recovery wait: {key} never arrived and no failure was declared"
-        );
-        std::thread::sleep(policy.delay_for(attempt));
-        attempt += 1;
+    let mut outcome = None;
+    ctx.kv.wait_until(policy.deadline, || {
+        outcome = rendezvous_outcome(ctx, key, participants, entry_dead);
+        outcome.is_some()
+    });
+    outcome
+        .unwrap_or_else(|| panic!("recovery wait: {key} never arrived and no failure was declared"))
+}
+
+/// One evaluation of a cascade-aware rendezvous: `None` while the wait
+/// must go on.
+fn rendezvous_outcome(
+    ctx: &WorkerCtx,
+    key: &str,
+    participants: &[Rank],
+    entry_dead: &[Rank],
+) -> Option<Result<String, CommError>> {
+    // Fail-stop applies to waiters too: a worker whose machine was
+    // killed while it waited here must unwind (in a real deployment the
+    // process would simply be gone), not keep publishing rendezvous keys
+    // as a zombie. No KV write signals this; the park slice bounds how
+    // late it is seen.
+    if let Err(e) = ctx.comm.check_self() {
+        return Some(Err(e));
     }
+    if let Some(v) = ctx.kv.get(key) {
+        return Some(Ok(v));
+    }
+    let (_, dead) = failure_state(&ctx.kv);
+    dead.iter()
+        .find(|r| participants.contains(r) && !entry_dead.contains(r))
+        .map(|&rank| Err(CommError::PeerFailed { rank }))
 }
 
 /// Runs `attempt` until it succeeds, restarting on cascading failures
@@ -265,14 +275,16 @@ pub fn supervise<T>(
             }
             Err(CommError::PeerFailed { .. }) if restarts < policy.max_restarts => {
                 // Cascading failure mid-recovery. Close the abandoned
-                // span, back off, then restart from the top: by the time
-                // we retry, the new death is declared (the error path
-                // that got us here declares before returning), so the
-                // next attempt reads a fresh epoch and a fresh survivor
-                // set.
+                // span and restart from the top under the new epoch. The
+                // error path that got us here declares before returning,
+                // so the wait below normally passes at once; it parks
+                // (at most one backoff step) only while a declaration is
+                // still landing.
                 tracker.close();
                 swift_obs::add(Counter::Restarts, 1);
-                std::thread::sleep(policy.delay_for(restarts));
+                ctx.kv.wait_until(policy.delay_for(restarts), || {
+                    failure_epoch(&ctx.kv) > epoch
+                });
                 restarts += 1;
             }
             Err(e) => {

@@ -22,8 +22,10 @@
 //!   the KV store (§6) — workers act on suspicion, and a falsely
 //!   suspected rank fences itself out;
 //! - [`KvStore`]: the rank-0 key-value store holding the failure state;
-//! - [`RetryPolicy`]: the single bounded-backoff schedule every recovery
-//!   wait goes through;
+//!   every recovery rendezvous parks on it with
+//!   [`KvStore::wait_until`] and wakes on the write it waits for;
+//! - [`RetryPolicy`]: the bounded-backoff schedule for socket connects,
+//!   and the deadline of every recovery wait;
 //! - [`Topology`]: the rank↔machine map that decides which traffic is
 //!   *inter-machine* and therefore logged (§5.1).
 //!

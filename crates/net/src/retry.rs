@@ -1,13 +1,16 @@
 //! Bounded retry with exponential backoff.
 //!
-//! Every wait in the recovery path — polling a key-value rendezvous,
-//! waiting for a replacement to come up, retrying an interrupted recovery
-//! step — goes through one [`RetryPolicy`] instead of scattered
-//! `thread::sleep(1ms)` spins and hard-coded 30-second timeouts. The
-//! policy fixes four knobs: the base delay, the backoff factor, the
-//! overall deadline, and the whole-attempt restart budget the recovery
-//! supervisor draws on (there used to be a second, drifting config
-//! struct for that — now there is one schedule).
+//! A [`RetryPolicy`] fixes four knobs: the base delay, the backoff
+//! factor, the overall deadline, and the whole-attempt restart budget the
+//! recovery supervisor draws on. Its backoff schedule paces retries of
+//! operations that give no wakeup — socket connects, for one — and its
+//! deadline bounds every recovery wait.
+//!
+//! Waits on the key-value store do not back off: a rendezvous parks on
+//! the store with [`KvStore::wait_until`](crate::KvStore::wait_until) and
+//! wakes on the write it waits for. A backoff sleep would wake up to one
+//! capped delay after that write (`cargo xtask verify` rejects such
+//! polls in `swift-core`).
 
 use std::time::{Duration, Instant};
 
@@ -31,7 +34,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// Fast polling: sub-millisecond start, gentle growth, generous
-    /// deadline. Replaces `loop { sleep(1ms) }` spins on shared state.
+    /// deadline. Its deadline is the bound on recovery rendezvous waits.
     pub const fn poll() -> Self {
         RetryPolicy {
             base_delay: Duration::from_micros(200),

@@ -130,7 +130,9 @@ fn traced_kill_respawn_fence() -> Trace {
             ring_exchange(&mut ctx, &world, 5);
             ctx.kv.set(&format!("ring-done/{}", ctx.rank()), "1");
             // Wait for the failure declaration, then recover.
-            RetryPolicy::poll().wait_until(|| failure_epoch(&ctx.kv) >= Epoch::new(1));
+            ctx.kv.wait_until(RetryPolicy::poll().deadline, || {
+                failure_epoch(&ctx.kv) >= Epoch::new(1)
+            });
             post_failure(&mut ctx, &world);
         }));
     }
@@ -141,8 +143,9 @@ fn traced_kill_respawn_fence() -> Trace {
             ctx.kv.set("ring-done/1", "1");
             // Die only once every rank has drained its ring traffic, so
             // the scenario's only anomaly is the failure itself.
-            RetryPolicy::poll()
-                .wait_until(|| (0..4).all(|r| ctx.kv.get(&format!("ring-done/{r}")).is_some()));
+            ctx.kv.wait_until(RetryPolicy::poll().deadline, || {
+                (0..4).all(|r| ctx.kv.get(&format!("ring-done/{r}")).is_some())
+            });
             let machine = ctx.machine();
             ctx.comm.failure_controller().kill_machine(machine);
         })

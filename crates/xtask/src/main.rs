@@ -23,7 +23,13 @@
 //!      steady-state contract is zero allocations per train step, and a
 //!      stray `vec![]` in a kernel silently re-introduces per-step
 //!      malloc traffic. Cold code opts out with a `lint:alloc-ok`
-//!      comment on the line.
+//!      comment on the line;
+//!    - no `RetryPolicy` backoff polling of the KV store in
+//!      `crates/core/src` — neither a policy's `.wait_until(...)` whose
+//!      predicate reads the store, nor a `delay_for(...)` sleep inside a
+//!      loop that reads it. A backoff sleep wakes up to one capped delay
+//!      after the write it waits for; a rendezvous parks on the store
+//!      (`KvStore::wait_until`) and wakes on the write.
 //!
 //!    All lints skip the `#[cfg(test)]` region (test modules sit at the
 //!    bottom of each file by repo convention) and comment lines.
@@ -261,6 +267,7 @@ fn verify() -> ExitCode {
     failures += lint_no_instant_in_sim(&root);
     failures += lint_no_wall_clock_in_net(&root);
     failures += lint_no_alloc_in_hot_loops(&root);
+    failures += lint_no_backoff_kv_polls(&root);
 
     if failures > 0 {
         eprintln!("xtask verify: {failures} lint violation(s); skipping analyzers");
@@ -485,24 +492,15 @@ fn lint_no_panics_in_recovery(root: &Path) -> usize {
 
 /// Simulated code paths must use virtual time, never the wall clock.
 fn lint_no_instant_in_sim(root: &Path) -> usize {
-    let dir = root.join("crates/sim/src");
     let mut violations = 0;
-    for entry in std::fs::read_dir(&dir).expect("crates/sim/src exists") {
-        let path = entry.expect("readable dir entry").path();
-        if path.extension().is_some_and(|e| e == "rs") {
-            let rel = path
-                .strip_prefix(root)
-                .expect("under root")
-                .to_string_lossy()
-                .into_owned();
-            violations += lint_file(
-                root,
-                &rel,
-                &["std::time::Instant", "Instant::now"],
-                None,
-                |_| "raw `Instant` in simulated code — use the simulator's virtual clock".into(),
-            );
-        }
+    for rel in rs_files(root, "crates/sim/src") {
+        violations += lint_file(
+            root,
+            &rel,
+            &["std::time::Instant", "Instant::now"],
+            None,
+            |_| "raw `Instant` in simulated code — use the simulator's virtual clock".into(),
+        );
     }
     violations
 }
@@ -516,22 +514,12 @@ const NET_WALL_CLOCK_ALLOWLIST: &[&str] = &["clock.rs", "socket.rs", "kv_remote.
 /// `swift_net::clock` seam — a raw `Instant::now()` or `thread::sleep`
 /// is a schedule point the model checker cannot control.
 fn lint_no_wall_clock_in_net(root: &Path) -> usize {
-    let dir = root.join("crates/net/src");
     let mut violations = 0;
-    for entry in std::fs::read_dir(&dir).expect("crates/net/src exists") {
-        let path = entry.expect("readable dir entry").path();
-        if path.extension().is_none_or(|e| e != "rs") {
+    for rel in rs_files(root, "crates/net/src") {
+        let name = Path::new(&rel).file_name().expect("file name");
+        if NET_WALL_CLOCK_ALLOWLIST.iter().any(|a| name == *a) {
             continue;
         }
-        let name = path.file_name().expect("file name").to_string_lossy();
-        if NET_WALL_CLOCK_ALLOWLIST.contains(&name.as_ref()) {
-            continue;
-        }
-        let rel = path
-            .strip_prefix(root)
-            .expect("under root")
-            .to_string_lossy()
-            .into_owned();
         violations += lint_file(
             root,
             &rel,
@@ -564,19 +552,8 @@ const HOT_LOOP_PATHS: &[&str] = &[
 fn lint_no_alloc_in_hot_loops(root: &Path) -> usize {
     let mut files = Vec::new();
     for rel in HOT_LOOP_PATHS {
-        let path = root.join(rel);
-        if path.is_dir() {
-            for entry in std::fs::read_dir(&path).expect("hot-loop dir exists") {
-                let p = entry.expect("readable dir entry").path();
-                if p.extension().is_some_and(|e| e == "rs") {
-                    files.push(
-                        p.strip_prefix(root)
-                            .expect("under root")
-                            .to_string_lossy()
-                            .into_owned(),
-                    );
-                }
-            }
+        if root.join(rel).is_dir() {
+            files.extend(rs_files(root, rel));
         } else {
             files.push((*rel).to_string());
         }
@@ -597,6 +574,243 @@ fn lint_no_alloc_in_hot_loops(root: &Path) -> usize {
         );
     }
     violations
+}
+
+/// Calls that read the KV store inside a poll predicate or loop body.
+const KV_READS: &[&str] = &[".get(", "failure_state(", "failure_epoch("];
+
+/// A KV rendezvous in `crates/core/src` must park on the store
+/// (`KvStore::wait_until`), which wakes on the write it waits for. A
+/// `RetryPolicy` backoff poll of the store wakes up to one capped delay
+/// (10 ms for `RetryPolicy::poll`) late, and on the recovery path that
+/// lateness is time every survivor spends idle. Flags a policy's
+/// `.wait_until(...)` whose predicate reads the store, and a
+/// `delay_for(...)` inside a loop that reads it (unless the delay only
+/// bounds a store wait).
+fn lint_no_backoff_kv_polls(root: &Path) -> usize {
+    let mut violations = 0;
+    for rel in rs_files(root, "crates/core/src") {
+        let text = std::fs::read_to_string(root.join(&rel))
+            .unwrap_or_else(|e| panic!("xtask: cannot read {rel}: {e}"));
+        for line in backoff_kv_polls(&text) {
+            eprintln!(
+                "  LINT {rel}:{line}: RetryPolicy backoff poll of the KV store — \
+                 park on the store with `KvStore::wait_until`"
+            );
+            violations += 1;
+        }
+    }
+    violations
+}
+
+/// The scanning core of [`lint_no_backoff_kv_polls`]: the 1-based lines
+/// of every backoff poll of the store in `text`.
+fn backoff_kv_polls(text: &str) -> Vec<usize> {
+    let code = lintable_code(text);
+    let policies = retry_policy_bindings(&code);
+    let reads_kv = |s: &str| KV_READS.iter().any(|n| s.contains(n));
+    let line_of = |pos: usize| code[..pos].matches('\n').count() + 1;
+    let mut lines = Vec::new();
+    for (pos, call) in code.match_indices(".wait_until(") {
+        let receiver = receiver_before(&code, pos);
+        let ident = receiver
+            .rsplit(|c: char| c == '.' || c == ':' || c.is_whitespace())
+            .next()
+            .unwrap_or("");
+        let is_policy = receiver.contains("RetryPolicy") || policies.iter().any(|p| p == ident);
+        if is_policy && reads_kv(balanced(&code, pos + call.len() - 1, (b'(', b')'))) {
+            lines.push(line_of(pos));
+        }
+    }
+    for (pos, _) in code.match_indices("delay_for(") {
+        let statement = &code[statement_start(&code, pos)..pos];
+        if statement.contains(".wait_until(") {
+            continue; // the delay bounds a store wait, not a sleep
+        }
+        if enclosing_loop_body(&code, pos).is_some_and(reads_kv) {
+            lines.push(line_of(pos));
+        }
+    }
+    lines.sort_unstable();
+    lines
+}
+
+/// `text` up to its `#[cfg(test)]` module, with comments and string
+/// literal contents blanked to spaces (newlines kept, so line numbers
+/// hold), so braces and needles inside them cannot confuse the scans.
+fn lintable_code(text: &str) -> String {
+    let end = text
+        .lines()
+        .scan(0usize, |off, l| {
+            let start = *off;
+            *off += l.len() + 1;
+            Some((start, l))
+        })
+        .find(|(_, l)| l.trim_start().starts_with("#[cfg(test)]"))
+        .map_or(text.len(), |(start, _)| start);
+    let mut out = String::with_capacity(end);
+    let mut chars = text[..end].chars().peekable();
+    let (mut in_str, mut in_comment) = (false, false);
+    while let Some(c) = chars.next() {
+        if c == '\n' {
+            in_comment = false;
+            out.push(c);
+        } else if in_comment {
+            out.push(' ');
+        } else if in_str {
+            if c == '\\' {
+                // The escaped character; a line continuation keeps its
+                // newline.
+                out.push(' ');
+                if let Some(e) = chars.next() {
+                    out.push(if e == '\n' { e } else { ' ' });
+                }
+            } else if c == '"' {
+                in_str = false;
+                out.push(c);
+            } else {
+                out.push(' ');
+            }
+        } else if c == '/' && chars.peek() == Some(&'/') {
+            in_comment = true;
+            out.push(' ');
+        } else if c == '\'' && chars.clone().take(2).eq(['"', '\'']) {
+            // A `'"'` char literal opens no string.
+            out.push_str("' '");
+            chars.nth(1);
+        } else {
+            in_str = c == '"';
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// Identifiers bound to a `RetryPolicy` in `code`: `let p = RetryPolicy…`
+/// bindings and `p: &RetryPolicy` parameters.
+fn retry_policy_bindings(code: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for (pos, _) in code.match_indices("RetryPolicy") {
+        let before = code[..pos].trim_end_matches(|c: char| c.is_whitespace() || c == '&');
+        let before = before.strip_suffix("mut").unwrap_or(before).trim_end();
+        let Some(lhs) = before
+            .strip_suffix(':')
+            .or_else(|| before.strip_suffix('='))
+        else {
+            continue;
+        };
+        let name: String = lhs
+            .trim_end()
+            .chars()
+            .rev()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect::<Vec<_>>()
+            .into_iter()
+            .rev()
+            .collect();
+        if !name.is_empty() && !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    names
+}
+
+/// The receiver expression of the method call whose `.` is at `pos`:
+/// identifiers, paths and field/method chains, balanced argument lists
+/// included, across line breaks.
+fn receiver_before(code: &str, pos: usize) -> &str {
+    let bytes = code.as_bytes();
+    let mut i = pos;
+    loop {
+        while i > 0 && bytes[i - 1].is_ascii_whitespace() {
+            i -= 1;
+        }
+        match i.checked_sub(1).map(|j| bytes[j]) {
+            Some(b')') => {
+                let mut depth = 0usize;
+                while i > 0 {
+                    i -= 1;
+                    match bytes[i] {
+                        b')' => depth += 1,
+                        b'(' => {
+                            depth -= 1;
+                            if depth == 0 {
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            Some(b) if b.is_ascii_alphanumeric() || b == b'_' || b == b'.' || b == b':' => i -= 1,
+            _ => break,
+        }
+    }
+    code[i..pos].trim()
+}
+
+/// The balanced `(open, close)`-delimited text starting at `start`.
+fn balanced(code: &str, start: usize, (open, close): (u8, u8)) -> &str {
+    let mut depth = 0usize;
+    for (i, b) in code.bytes().enumerate().skip(start) {
+        if b == open {
+            depth += 1;
+        } else if b == close {
+            depth -= 1;
+            if depth == 0 {
+                return &code[start..=i];
+            }
+        }
+    }
+    &code[start..]
+}
+
+/// Offset just past the `;`, `{` or `}` that ends the statement before
+/// `pos`.
+fn statement_start(code: &str, pos: usize) -> usize {
+    code[..pos].rfind([';', '{', '}']).map_or(0, |i| i + 1)
+}
+
+/// The body of the innermost `loop`/`while`/`for` block enclosing `pos`.
+fn enclosing_loop_body(code: &str, pos: usize) -> Option<&str> {
+    let bytes = code.as_bytes();
+    let mut depth = 0usize;
+    for open in (0..pos).rev() {
+        match bytes[open] {
+            b'}' => depth += 1,
+            b'{' if depth > 0 => depth -= 1,
+            b'{' => {
+                let header = code[statement_start(code, open)..open].trim();
+                let header = header.rsplit('=').next().unwrap_or(header).trim();
+                let keyword = header
+                    .split_whitespace()
+                    .find(|w| !w.ends_with(':'))
+                    .unwrap_or("");
+                if matches!(keyword, "loop" | "while" | "for") {
+                    return Some(balanced(code, open, (b'{', b'}')));
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// The `.rs` files directly inside `dir`, as sorted root-relative paths.
+fn rs_files(root: &Path, dir: &str) -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(root.join(dir))
+        .unwrap_or_else(|e| panic!("xtask: cannot list {dir}: {e}"))
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .map(|p| {
+            p.strip_prefix(root)
+                .expect("under root")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 /// Scans the non-test, non-comment lines of `rel` for any of `needles`.
@@ -696,6 +910,89 @@ mod tests {
             count("#[cfg(test)]\nmod tests { fn f() { let v = vec![1]; } }\n"),
             0
         );
+    }
+
+    #[test]
+    fn core_kv_rendezvous_parks_on_the_store() {
+        assert_eq!(lint_no_backoff_kv_polls(&workspace_root()), 0);
+    }
+
+    /// Self-test of the backoff-poll rule against synthetic sources:
+    /// policy polls and hand-rolled backoff loops over the store fire;
+    /// store waits, non-KV retries, comments, strings and the test
+    /// module don't.
+    #[test]
+    fn backoff_poll_scan_rules() {
+        // A policy's wait_until over the store, inline or bound.
+        assert_eq!(
+            backoff_kv_polls(
+                "assert!(RetryPolicy::poll().wait_until(|| kv.get(\"k\").is_some()));\n"
+            ),
+            vec![1]
+        );
+        assert_eq!(
+            backoff_kv_polls(
+                "let p = RetryPolicy::poll().with_deadline(d);\n\
+                 assert!(p\n    .wait_until(|| failure_state(&kv).1.is_empty()));\n"
+            ),
+            vec![3]
+        );
+        assert_eq!(
+            backoff_kv_polls(
+                "fn f(\n    policy: &RetryPolicy,\n) {\n    \
+                 if policy.wait_until(|| ctx.kv.get(&k).is_some()) {}\n}\n"
+            ),
+            vec![4]
+        );
+        // A hand-rolled backoff loop over the store.
+        assert_eq!(
+            backoff_kv_polls(
+                "let mut a = 0;\nloop {\n    let k = format!(\"a/{x}\");\n    \
+                 if ctx.kv.get(&k).is_some() { break; }\n    \
+                 std::thread::sleep(policy.delay_for(a));\n    a += 1;\n}\n"
+            ),
+            vec![5]
+        );
+        // Store waits pass, with or without a backoff step as the bound.
+        assert!(backoff_kv_polls(
+            "kv.wait_until(RetryPolicy::poll().deadline, || kv.get(\"k\").is_some());\n"
+        )
+        .is_empty());
+        assert!(backoff_kv_polls(
+            "loop {\n    if done(failure_epoch(&ctx.kv)) { break; }\n    \
+             ctx.kv.wait_until(policy.delay_for(n), || failure_epoch(&ctx.kv) > e);\n}\n"
+        )
+        .is_empty());
+        // Backoff that touches no store: socket connects keep it.
+        assert!(backoff_kv_polls(
+            "fn dial(retry: &RetryPolicy) {\n    retry.wait_until(|| UnixStream::connect(p).is_ok());\n}\n"
+        )
+        .is_empty());
+        assert!(backoff_kv_polls(
+            "loop {\n    if connect().is_ok() { break; }\n    sleep(p.delay_for(a));\n}\n"
+        )
+        .is_empty());
+        // Comments, strings and the test module are not code; a `'"'`
+        // literal or an escaped line break keeps the scan in step.
+        assert_eq!(
+            backoff_kv_polls(
+                "let q = '\"';\nlet s = \"a\\\n b\";\n\
+                 RetryPolicy::poll().wait_until(|| kv.get(\"k\").is_some());\n"
+            ),
+            vec![4]
+        );
+        assert!(
+            backoff_kv_polls("// RetryPolicy::poll().wait_until(|| kv.get(k).is_some())\n")
+                .is_empty()
+        );
+        assert!(backoff_kv_polls(
+            "let s = \"RetryPolicy::poll().wait_until(|| kv.get(k).is_some())\";\n"
+        )
+        .is_empty());
+        assert!(backoff_kv_polls(
+            "#[cfg(test)]\nmod t {\n    fn f() { RetryPolicy::poll().wait_until(|| kv.get(\"k\").is_some()); }\n}\n"
+        )
+        .is_empty());
     }
 
     const SAMPLE: &str = "[\n\
